@@ -9,6 +9,11 @@ type bank struct {
 	nextRead  uint64
 	nextWrite uint64
 	nextPre   uint64
+	// hits counts the queued requests that target openRow: FR-FCFS
+	// will not close a row while it is nonzero. enqueue and remove
+	// keep it current, issueACT recounts it for the new row, and every
+	// precharge (PRE or refresh) zeroes it.
+	hits int
 }
 
 // channel owns one DDR4 channel: its banks, the shared-bus and
@@ -75,6 +80,7 @@ func (ch *channel) maybeRefresh(dc uint64) bool {
 		for i := range ch.banks {
 			b := &ch.banks[i]
 			b.openRow = -1
+			b.hits = 0
 			b.nextAct = max64(b.nextAct, end)
 		}
 		ch.nextCASAny = max64(ch.nextCASAny, end)
@@ -92,19 +98,22 @@ func (ch *channel) enqueue(r *Request) {
 	r.seq = ch.seq
 	ch.queue = append(ch.queue, r)
 	ch.hintValid = false
+	if b := ch.bankOf(r); b.openRow == r.coord.Row {
+		b.hits++
+	}
 }
 
-func (ch *channel) bankOf(c Coord) *bank { return &ch.banks[c.Slice(ch.p)] }
+func (ch *channel) bankOf(r *Request) *bank { return &ch.banks[r.slice] }
 
-func (ch *channel) bgOf(c Coord) int { return c.Rank*ch.p.BankGroups + c.BankGroup }
+func (ch *channel) bgOf(r *Request) int { return int(r.bg) }
 
 // casReady reports whether the column command for r is legal at dc.
 func (ch *channel) casReady(r *Request, dc uint64) bool {
-	b := ch.bankOf(r.coord)
+	b := ch.bankOf(r)
 	if b.openRow != r.coord.Row {
 		return false
 	}
-	bg := ch.bgOf(r.coord)
+	bg := ch.bgOf(r)
 	if dc < ch.nextCASAny || dc < ch.nextCASPerBG[bg] {
 		return false
 	}
@@ -116,11 +125,11 @@ func (ch *channel) casReady(r *Request, dc uint64) bool {
 
 // actReady reports whether an ACT to r's bank is legal at dc.
 func (ch *channel) actReady(r *Request, dc uint64) bool {
-	b := ch.bankOf(r.coord)
+	b := ch.bankOf(r)
 	if b.openRow != -1 || dc < b.nextAct {
 		return false
 	}
-	bg := ch.bgOf(r.coord)
+	bg := ch.bgOf(r)
 	if dc < ch.nextACTAny || dc < ch.nextACTPerBG[bg] {
 		return false
 	}
@@ -134,8 +143,8 @@ func (ch *channel) actReady(r *Request, dc uint64) bool {
 // issueCAS issues the column command for r at dc and returns the DRAM
 // cycle at which the data burst completes.
 func (ch *channel) issueCAS(r *Request, dc uint64) (doneAt uint64) {
-	b := ch.bankOf(r.coord)
-	bg := ch.bgOf(r.coord)
+	b := ch.bankOf(r)
+	bg := ch.bgOf(r)
 	ch.hintValid = false
 	ch.nextCASAny = dc + uint64(ch.p.TCCDS)
 	ch.nextCASPerBG[bg] = dc + uint64(ch.p.TCCDL)
@@ -157,10 +166,16 @@ func (ch *channel) issueCAS(r *Request, dc uint64) (doneAt uint64) {
 
 // issueACT opens r's row at dc.
 func (ch *channel) issueACT(r *Request, dc uint64) {
-	b := ch.bankOf(r.coord)
-	bg := ch.bgOf(r.coord)
+	b := ch.bankOf(r)
+	bg := ch.bgOf(r)
 	ch.hintValid = false
 	b.openRow = r.coord.Row
+	b.hits = 0
+	for _, q := range ch.queue {
+		if q.slice == r.slice && q.coord.Row == b.openRow {
+			b.hits++
+		}
+	}
 	b.nextRead = dc + uint64(ch.p.TRCD)
 	b.nextWrite = dc + uint64(ch.p.TRCD)
 	if np := dc + uint64(ch.p.TRAS); np > b.nextPre {
@@ -175,27 +190,11 @@ func (ch *channel) issueACT(r *Request, dc uint64) {
 
 // issuePRE closes the open row of r's bank at dc.
 func (ch *channel) issuePRE(r *Request, dc uint64) {
-	b := ch.bankOf(r.coord)
+	b := ch.bankOf(r)
 	b.openRow = -1
+	b.hits = 0
 	b.nextAct = max64(b.nextAct, dc+uint64(ch.p.TRP))
 	ch.hintValid = false
-}
-
-// hasPendingHit reports whether any queued request targets the
-// currently open row of the same bank as r — FR-FCFS will not close a
-// row other requests can still hit.
-func (ch *channel) hasPendingHit(r *Request) bool {
-	b := ch.bankOf(r.coord)
-	if b.openRow == -1 {
-		return false
-	}
-	slice := r.coord.Slice(ch.p)
-	for _, q := range ch.queue {
-		if q.coord.Slice(ch.p) == slice && q.coord.Row == b.openRow {
-			return true
-		}
-	}
-	return false
 }
 
 func (ch *channel) remove(r *Request) {
@@ -203,6 +202,9 @@ func (ch *channel) remove(r *Request) {
 		if q == r {
 			ch.queue = append(ch.queue[:i], ch.queue[i+1:]...)
 			ch.hintValid = false
+			if b := ch.bankOf(r); b.openRow == r.coord.Row {
+				b.hits--
+			}
 			return
 		}
 	}
@@ -212,8 +214,8 @@ func (ch *channel) remove(r *Request) {
 // command becomes legal, assuming its row is (and stays) open. The
 // trackers are frozen between commands, so the bound is exact.
 func (ch *channel) casReadyAt(r *Request) uint64 {
-	b := ch.bankOf(r.coord)
-	at := max64(ch.nextCASAny, ch.nextCASPerBG[ch.bgOf(r.coord)])
+	b := ch.bankOf(r)
+	at := max64(ch.nextCASAny, ch.nextCASPerBG[ch.bgOf(r)])
 	if r.Kind == Read {
 		return max64(at, max64(b.nextRead, ch.nextReadOK))
 	}
@@ -223,8 +225,8 @@ func (ch *channel) casReadyAt(r *Request) uint64 {
 // actReadyAt returns the earliest DRAM cycle at which an ACT to r's
 // bank becomes legal, assuming the bank is (and stays) precharged.
 func (ch *channel) actReadyAt(r *Request) uint64 {
-	b := ch.bankOf(r.coord)
-	at := max64(b.nextAct, max64(ch.nextACTAny, ch.nextACTPerBG[ch.bgOf(r.coord)]))
+	b := ch.bankOf(r)
+	at := max64(b.nextAct, max64(ch.nextACTAny, ch.nextACTPerBG[ch.bgOf(r)]))
 	if ch.actCount >= len(ch.actWindow) {
 		at = max64(at, ch.actWindow[ch.actWindowPos]+uint64(ch.p.TFAW))
 	}
@@ -247,13 +249,13 @@ func (ch *channel) earliestAction() uint64 {
 		min = ch.nextRefresh
 	}
 	for _, r := range ch.queue {
-		b := ch.bankOf(r.coord)
+		b := ch.bankOf(r)
 		var at uint64
 		switch {
 		case b.openRow == r.coord.Row:
 			at = ch.casReadyAt(r)
 		case b.openRow != -1:
-			if ch.hasPendingHit(r) {
+			if b.hits > 0 {
 				continue
 			}
 			at = b.nextPre

@@ -33,8 +33,12 @@ func (s *System) CheckpointSave(w *ckpt.Writer) error {
 	return nil
 }
 
-// CheckpointLoad implements ckpt.Checkpointable.
+// CheckpointLoad implements ckpt.Checkpointable. Like a save, it
+// needs empty request buffers.
 func (s *System) CheckpointLoad(r *ckpt.Reader) error {
+	if !s.Quiet() {
+		return fmt.Errorf("dram: restoring into a memory system with queued requests")
+	}
 	if n := int(r.U32()); n != len(s.chans) {
 		if r.Err() != nil {
 			return r.Err()
@@ -94,6 +98,9 @@ func loadChannel(r *ckpt.Reader, ch *channel) error {
 		b.nextRead = r.U64()
 		b.nextWrite = r.U64()
 		b.nextPre = r.U64()
+		// Pending-hit counts are derived from the queue, which is
+		// empty, so they are not serialized.
+		b.hits = 0
 	}
 	ch.seq = r.U64()
 	ch.nextCASAny = r.U64()

@@ -35,7 +35,7 @@ func TestMapperInterleaving(t *testing.T) {
 		t.Fatalf("line 2: ch=%d bg=%d, want ch=%d and bg != %d", c2.Channel, c2.BankGroup, c0.Channel, c0.BankGroup)
 	}
 	// Slice index is within range.
-	if s := c0.Slice(p); s < 0 || s >= p.BanksPerChannel() {
+	if s := c0.Slice(&p); s < 0 || s >= p.BanksPerChannel() {
 		t.Fatalf("slice %d out of range", s)
 	}
 }
@@ -313,6 +313,20 @@ func TestParamsDerived(t *testing.T) {
 	if p.PeakBytesPerDRAMCycle() != 16 {
 		t.Fatalf("PeakBytesPerDRAMCycle = %v", p.PeakBytesPerDRAMCycle())
 	}
+}
+
+func TestNewSystemRejectsBankIndexOverflow(t *testing.T) {
+	// Requests carry their bank index as a uint16.
+	p := DDR4_3200()
+	p.Ranks = 1 << 10
+	p.BankGroups = 16
+	p.Banks = 16
+	defer func() {
+		if recover() == nil {
+			t.Fatal("NewSystem accepted 2^18 banks per channel")
+		}
+	}()
+	NewSystem(sim.NewEngine(), p, sim.NewStats(), "dram.")
 }
 
 func TestRefreshFires(t *testing.T) {

@@ -113,7 +113,7 @@ func checkProtocol(t *testing.T, p Params, trace []obs.Event) (casCount int) {
 	actTimes := map[int][]uint64{}
 	for i, e := range trace {
 		c, dc := coordOf(e), dcOf(e)
-		bk := bankKey{c.Channel, c.Slice(p)}
+		bk := bankKey{c.Channel, c.Slice(&p)}
 		switch e.Kind {
 		case obs.EvDRAMAct:
 			if seenPRE[bk] && dc < lastPRE[bk]+uint64(p.TRP) {
@@ -362,5 +362,203 @@ func TestRequestBufferNeverExceedsCapacity(t *testing.T) {
 	}
 	if !sys.Submit(&Request{Addr: addr(200), Kind: Read}) {
 		t.Fatal("submit rejected after drain")
+	}
+}
+
+// hitStream drives a randomized mix of reads and writes whose
+// addresses cluster on a few rows of every bank, so pending row hits,
+// row conflicts and held-back precharges are all common. It registers
+// one ticker after the memory system, so on every DRAM edge it first
+// checks each bank's pending-hit count against a brute-force scan of
+// the queue, then submits the next burst.
+type hitStream struct {
+	t    *testing.T
+	sys  *System
+	sink *obs.Sink
+	rng  *rand.Rand
+
+	remaining, inflight int
+	// subs records, per accepted request, how many trace events had
+	// been emitted when it entered the queue, so the trace can be
+	// replayed against the queue it was scheduled from.
+	subs []submission
+	// held counts the (edge, bank) pairs at which a pending hit kept a
+	// queued request for another row of the bank from precharging.
+	held int
+}
+
+type submission struct {
+	at uint64 // trace length at submission
+	c  Coord
+}
+
+func newHitStream(t *testing.T, p Params) (*sim.Engine, *hitStream) {
+	eng := sim.NewEngine()
+	eng.MaxCycles = 50_000_000
+	s := &hitStream{t: t, sys: NewSystem(eng, p, sim.NewStats(), "dram."), sink: newDRAMSink()}
+	s.sys.AttachTrace(s.sink)
+	eng.Register(sim.TickerFunc(s.tick))
+	return eng, s
+}
+
+// run submits n requests drawn from seed and runs the engine until
+// they have all completed.
+func (s *hitStream) run(eng *sim.Engine, seed int64, n int) {
+	s.t.Helper()
+	s.rng = rand.New(rand.NewSource(seed))
+	s.remaining = n
+	if _, err := eng.Run(nil); err != nil {
+		s.t.Fatal(err)
+	}
+	if s.remaining != 0 || s.inflight != 0 {
+		s.t.Fatalf("stream not drained: %d unsubmitted, %d in flight", s.remaining, s.inflight)
+	}
+	if s.sink.Dropped() != 0 {
+		s.t.Fatalf("trace ring overwrote %d events; grow newDRAMSink", s.sink.Dropped())
+	}
+}
+
+func (s *hitStream) tick(now sim.Cycle) bool {
+	p := &s.sys.p
+	if uint64(now)%uint64(p.ClkDiv) == 0 {
+		s.held += checkHitCounts(s.t, s.sys)
+	}
+	for burst := s.rng.Intn(4); burst > 0 && s.remaining > 0; burst-- {
+		c := Coord{
+			Channel:   s.rng.Intn(p.Channels),
+			Rank:      s.rng.Intn(p.Ranks),
+			BankGroup: s.rng.Intn(p.BankGroups),
+			Bank:      s.rng.Intn(p.Banks),
+			Row:       s.rng.Intn(3),
+			Column:    s.rng.Intn(p.LinesPerRow()),
+		}
+		kind := Read
+		if s.rng.Intn(3) == 0 {
+			kind = Write
+		}
+		r := &Request{Addr: s.sys.Mapper().Unmap(c), Kind: kind, OnDone: func(sim.Cycle) { s.inflight-- }}
+		if !s.sys.Submit(r) {
+			break
+		}
+		s.subs = append(s.subs, submission{at: s.sink.Total(), c: c})
+		s.inflight++
+		s.remaining--
+	}
+	return s.remaining > 0 || s.inflight > 0
+}
+
+// checkHitCounts compares every bank's pending-hit count, and every
+// queued request's resolved bank, with a brute-force recomputation
+// from the queue. It returns how many banks are holding a conflicting
+// request back behind pending hits.
+func checkHitCounts(t *testing.T, sys *System) (held int) {
+	t.Helper()
+	p := &sys.p
+	for ci, ch := range sys.chans {
+		for _, q := range ch.queue {
+			if int(q.slice) != q.coord.Slice(p) || int(q.bg) != q.coord.Rank*p.BankGroups+q.coord.BankGroup {
+				t.Fatalf("ch%d: request %+v resolved to slice %d, bank group %d", ci, q.coord, q.slice, q.bg)
+			}
+		}
+		for bi := range ch.banks {
+			b := &ch.banks[bi]
+			want, conflict := 0, false
+			for _, q := range ch.queue {
+				if q.coord.Slice(p) != bi {
+					continue
+				}
+				if q.coord.Row == b.openRow {
+					want++
+				} else {
+					conflict = true
+				}
+			}
+			if b.hits != want {
+				t.Fatalf("ch%d slice%d (open row %d): hits=%d, queue holds %d requests to the open row",
+					ci, bi, b.openRow, b.hits, want)
+			}
+			if want > 0 && conflict {
+				held++
+			}
+		}
+	}
+	return held
+}
+
+// checkNoPrematurePre replays a command trace against the queue it was
+// scheduled from, rebuilt from the submission log: it reports every
+// PRE that closed a row some queued request still targeted. It returns
+// the number of PREs replayed.
+func checkNoPrematurePre(t *testing.T, p Params, trace []obs.Event, subs []submission) (pres int) {
+	t.Helper()
+	type bankKey struct{ ch, slice int }
+	type rowKey struct {
+		bankKey
+		row int
+	}
+	queued := map[rowKey]int{}
+	open := map[bankKey]int{}
+	next := 0
+	for i, e := range trace {
+		for ; next < len(subs) && subs[next].at <= uint64(i); next++ {
+			c := subs[next].c
+			queued[rowKey{bankKey{c.Channel, c.Slice(&p)}, c.Row}]++
+		}
+		c := coordOf(e)
+		bk := bankKey{c.Channel, c.Slice(&p)}
+		switch e.Kind {
+		case obs.EvDRAMAct:
+			open[bk] = c.Row
+		case obs.EvDRAMPre:
+			pres++
+			if row, ok := open[bk]; ok && queued[rowKey{bk, row}] > 0 {
+				t.Errorf("cmd %d: PRE ch%d slice%d closed row %d with %d queued requests to it",
+					i, bk.ch, bk.slice, row, queued[rowKey{bk, row}])
+			}
+			delete(open, bk)
+		case obs.EvDRAMRead, obs.EvDRAMWrite:
+			rk := rowKey{bk, c.Row}
+			if queued[rk] == 0 {
+				t.Fatalf("cmd %d: CAS ch%d slice%d row %d with no such request queued", i, bk.ch, bk.slice, c.Row)
+			}
+			queued[rk]--
+		case obs.EvDRAMRefresh:
+			for k := range open {
+				if int64(k.ch) == e.Args[0] {
+					delete(open, k)
+				}
+			}
+		}
+	}
+	return pres
+}
+
+func TestPendingHitCountsMatchOracle(t *testing.T) {
+	// Two ranks and a short refresh interval: refreshes close rows that
+	// still have pending hits, mid-stream.
+	p := DDR4_3200()
+	p.Ranks = 2
+	p.TREFI = 600
+	p.TRFC = 100
+	for seed := int64(1); seed <= 4; seed++ {
+		const n = 1500
+		eng, s := newHitStream(t, p)
+		s.run(eng, seed, n)
+		trace := s.sink.Events()
+		refreshes := 0
+		for _, e := range trace {
+			if e.Kind == obs.EvDRAMRefresh {
+				refreshes++
+			}
+		}
+		pres := checkNoPrematurePre(t, p, trace, s.subs)
+		if cas := checkProtocol(t, p, trace); cas != n {
+			t.Fatalf("seed %d: %d column commands for %d requests", seed, cas, n)
+		}
+		// The stream must exercise what it checks: hits holding back a
+		// precharge, precharges themselves, and refreshes.
+		if s.held < 1000 || pres < 300 || refreshes < 10 {
+			t.Fatalf("seed %d: stream too tame: %d held banks, %d PREs, %d refreshes", seed, s.held, pres, refreshes)
+		}
 	}
 }

@@ -33,4 +33,10 @@ type Request struct {
 	seq         uint64
 	requiredAct bool
 	requiredPre bool
+	// slice and bg are the bank index within the channel and the
+	// (rank, bank group) index, resolved once by Submit so the FR-FCFS
+	// loops never recompute them. They fill the padding after the
+	// flags, so Request keeps its allocation size class.
+	slice uint16
+	bg    uint16
 }

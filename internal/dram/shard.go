@@ -19,10 +19,14 @@ import (
 // Two parallel regimes exist:
 //
 //   - TickSharded fans a single DRAM clock edge out over the pool when
-//     the queues are deep enough to pay for the dispatch. This is the
-//     win in DX100-mode runs, where the accelerator keeps every
-//     channel's request buffer near capacity and FR-FCFS scans (and
-//     their O(queue²) pending-hit checks) dominate the profile.
+//     the queues are deep enough to pay for the dispatch. It targets
+//     DX100-mode runs, where the accelerator keeps every channel's
+//     request buffer near capacity. Per-bank pending-hit counts make
+//     each FR-FCFS decision O(1) per queued request, so even a full
+//     buffer is cheap to tick: BenchmarkDRAMTick, which keeps both
+//     channels full, measures about 0.3 µs per simulated CPU cycle on
+//     a 2-vCPU Intel Xeon (go1.24): the same order as one pool
+//     dispatch.
 //   - AdvanceShards replays each channel's own action edges through a
 //     whole epoch (see sim/epoch.go) without returning to the engine
 //     loop between them. This is the win in baseline-mode runs, where

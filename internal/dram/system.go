@@ -67,6 +67,9 @@ type System struct {
 // ticker. Statistics are reported into stats under prefix (e.g.
 // "dram.").
 func NewSystem(eng *sim.Engine, p Params, stats *sim.Stats, prefix string) *System {
+	if p.BanksPerChannel() > 1<<16 {
+		panic("dram: more than 65536 banks per channel")
+	}
 	s := &System{p: p, m: NewMapper(p), eng: eng, stats: stats, prefix: prefix}
 	s.cCycles = stats.Counter(prefix + "cycles")
 	s.cOccupancy = stats.Counter(prefix + "occupancy_sum")
@@ -130,6 +133,8 @@ func (s *System) ChannelQueueLen(i int) int { return len(s.chans[i].queue) }
 // back-pressure that limits a conventional core's visibility window.
 func (s *System) Submit(r *Request) bool {
 	r.coord = s.m.Map(r.Addr)
+	r.slice = uint16(r.coord.Slice(&s.p))
+	r.bg = uint16(r.coord.Rank*s.p.BankGroups + r.coord.BankGroup)
 	ch := s.chans[r.coord.Channel]
 	if ch.full() {
 		return false
@@ -245,13 +250,13 @@ func (s *System) tickChannel(ch *channel, fx *chanFx, dc uint64, now sim.Cycle) 
 	// FCFS: oldest request that needs its row opened, provided we
 	// would not close a row that still has pending hits.
 	for _, r := range ch.queue {
-		b := ch.bankOf(r.coord)
+		b := ch.bankOf(r)
 		if b.openRow == r.coord.Row {
 			continue // only waiting on CAS timing
 		}
 		if b.openRow != -1 {
-			if ch.hasPendingHit(r) {
-				continue
+			if b.hits > 0 {
+				continue // other queued requests still hit the open row
 			}
 			if dc >= b.nextPre {
 				ch.issuePRE(r, dc)

@@ -41,6 +41,11 @@ import (
 	"dx100/internal/sim"
 )
 
+// readHeaderTimeout bounds how long a client may take to send its
+// request headers, so a slow or stalled client cannot hold a
+// connection open indefinitely.
+const readHeaderTimeout = 10 * time.Second
+
 func main() {
 	var (
 		addr       = flag.String("addr", ":8100", "listen address")
@@ -79,7 +84,7 @@ func main() {
 		os.Exit(1)
 	}
 
-	httpSrv := &http.Server{Addr: *addr, Handler: srv.Handler()}
+	httpSrv := &http.Server{Addr: *addr, Handler: srv.Handler(), ReadHeaderTimeout: readHeaderTimeout}
 	errc := make(chan error, 1)
 	go func() {
 		logger.Info("listening", "addr", *addr, "workers", *workers,

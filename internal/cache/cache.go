@@ -56,12 +56,35 @@ type Config struct {
 // SizeBytes returns the capacity of the configuration.
 func (c Config) SizeBytes() int { return c.Sets * c.Ways * memspace.LineSize }
 
+// line is one way of the tag store in 16 bytes: the tag with the valid
+// and dirty flags in its top two bits (a tag is a line number divided
+// by the set count, below 2^58, so it never reaches them) and the LRU
+// stamp.
 type line struct {
-	valid bool
-	dirty bool
-	tag   uint64
-	used  uint64 // LRU stamp
+	bits uint64 // tag | lineValid | lineDirty
+	used uint64 // LRU stamp
 }
+
+const (
+	lineValid = 1 << 63
+	lineDirty = 1 << 62
+	tagMask   = lineDirty - 1
+)
+
+func newLine(tag uint64, dirty bool, used uint64) line {
+	ln := line{bits: tag | lineValid, used: used}
+	if dirty {
+		ln.bits |= lineDirty
+	}
+	return ln
+}
+
+func (ln *line) valid() bool { return ln.bits&lineValid != 0 }
+func (ln *line) dirty() bool { return ln.bits&lineDirty != 0 }
+func (ln *line) tag() uint64 { return ln.bits & tagMask }
+
+// holds reports whether the line is valid and carries tag.
+func (ln *line) holds(tag uint64) bool { return ln.bits&^lineDirty == tag|lineValid }
 
 type mshr struct {
 	addr    memspace.PAddr // line address
@@ -79,9 +102,12 @@ type Cache struct {
 	stats  *sim.Stats
 	prefix string
 	below  Level
-	sets   [][]line
-	stamp  uint64
-	mshrs  map[memspace.PAddr]*mshr
+	// lines is the tag store, set-major: set s owns
+	// lines[s*Ways : (s+1)*Ways]. One flat, pointer-free array is one
+	// allocation the garbage collector never scans.
+	lines []line
+	stamp uint64
+	mshrs map[memspace.PAddr]*mshr
 
 	portCycle sim.Cycle
 	portUsed  int
@@ -133,11 +159,8 @@ func New(eng *sim.Engine, cfg Config, below Level, stats *sim.Stats, prefix stri
 		stats:  stats,
 		prefix: prefix,
 		below:  below,
-		sets:   make([][]line, cfg.Sets),
+		lines:  make([]line, cfg.Sets*cfg.Ways),
 		mshrs:  make(map[memspace.PAddr]*mshr),
-	}
-	for i := range c.sets {
-		c.sets[i] = make([]line, cfg.Ways)
 	}
 	c.cAccesses = stats.Counter(prefix + "accesses")
 	c.cHits = stats.Counter(prefix + "hits")
@@ -211,10 +234,17 @@ func (c *Cache) indexTag(addr memspace.PAddr) (set int, tag uint64) {
 	return int(l % uint64(c.cfg.Sets)), l / uint64(c.cfg.Sets)
 }
 
+// set returns the ways of set s.
+func (c *Cache) set(s int) []line {
+	w := c.cfg.Ways
+	return c.lines[s*w : s*w+w]
+}
+
 func (c *Cache) lookup(addr memspace.PAddr) *line {
 	set, tag := c.indexTag(addr)
-	for i := range c.sets[set] {
-		if ln := &c.sets[set][i]; ln.valid && ln.tag == tag {
+	ways := c.set(set)
+	for i := range ways {
+		if ln := &ways[i]; ln.holds(tag) {
 			return ln
 		}
 	}
@@ -239,10 +269,10 @@ func (c *Cache) PresentHere(addr memspace.PAddr) bool { return c.lookup(addr) !=
 // generates).
 func (c *Cache) Invalidate(addr memspace.PAddr) {
 	set, tag := c.indexTag(addr)
-	for i := range c.sets[set] {
-		if ln := &c.sets[set][i]; ln.valid && ln.tag == tag {
-			ln.valid = false
-			ln.dirty = false
+	ways := c.set(set)
+	for i := range ways {
+		if ln := &ways[i]; ln.holds(tag) {
+			ln.bits &= tagMask // clear valid and dirty, keep the tag
 		}
 	}
 }
@@ -250,9 +280,10 @@ func (c *Cache) Invalidate(addr memspace.PAddr) {
 // victim picks the LRU way of the set, writing back a dirty victim.
 func (c *Cache) victim(now sim.Cycle, set int) *line {
 	var v *line
-	for i := range c.sets[set] {
-		ln := &c.sets[set][i]
-		if !ln.valid {
+	ways := c.set(set)
+	for i := range ways {
+		ln := &ways[i]
+		if !ln.valid() {
 			return ln
 		}
 		if v == nil || ln.used < v.used {
@@ -260,9 +291,9 @@ func (c *Cache) victim(now sim.Cycle, set int) *line {
 		}
 	}
 	if c.trace != nil {
-		evAddr := (v.tag*uint64(c.cfg.Sets) + uint64(set)) << memspace.LineBits
+		evAddr := (v.tag()*uint64(c.cfg.Sets) + uint64(set)) << memspace.LineBits
 		dirty := int64(0)
-		if v.dirty {
+		if v.dirty() {
 			dirty = 1
 		}
 		c.trace.Emit(obs.Event{
@@ -270,9 +301,9 @@ func (c *Cache) victim(now sim.Cycle, set int) *line {
 			Args: [6]int64{int64(evAddr), int64(set), dirty},
 		})
 	}
-	if v.dirty {
+	if v.dirty() {
 		c.cWritebacks.Inc()
-		wbAddr := memspace.PAddr((v.tag*uint64(c.cfg.Sets) + uint64(set)) << memspace.LineBits)
+		wbAddr := memspace.PAddr((v.tag()*uint64(c.cfg.Sets) + uint64(set)) << memspace.LineBits)
 		c.retryAccess(now, wbAddr, Store, nil)
 	}
 	return v
@@ -332,7 +363,7 @@ func (c *Cache) Access(now sim.Cycle, addr memspace.PAddr, kind Kind, onDone fun
 		c.stamp++
 		ln.used = c.stamp
 		if kind == Store {
-			ln.dirty = true
+			ln.bits |= lineDirty
 		}
 		if onDone != nil {
 			c.after(c.cfg.Latency, onDone)
@@ -375,7 +406,7 @@ func (c *Cache) fill(now sim.Cycle, m *mshr) {
 	set, tag := c.indexTag(m.addr)
 	v := c.victim(now, set)
 	c.stamp++
-	*v = line{valid: true, dirty: m.kind == Store, tag: tag, used: c.stamp}
+	*v = newLine(tag, m.kind == Store, c.stamp)
 	if c.trace != nil {
 		c.trace.Emit(obs.Event{
 			Cycle: uint64(now), Kind: obs.EvCacheFill, Src: c.prefix,

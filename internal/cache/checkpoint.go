@@ -18,14 +18,12 @@ func (c *Cache) CheckpointSave(w *ckpt.Writer) error {
 	}
 	w.U32(uint32(c.cfg.Sets))
 	w.U32(uint32(c.cfg.Ways))
-	for _, set := range c.sets {
-		for i := range set {
-			ln := &set[i]
-			w.Bool(ln.valid)
-			w.Bool(ln.dirty)
-			w.U64(ln.tag)
-			w.U64(ln.used)
-		}
+	for i := range c.lines {
+		ln := &c.lines[i]
+		w.Bool(ln.valid())
+		w.Bool(ln.dirty())
+		w.U64(ln.tag())
+		w.U64(ln.used)
 	}
 	w.U64(c.stamp)
 	w.U64(uint64(c.lastMiss))
@@ -46,14 +44,20 @@ func (c *Cache) CheckpointLoad(r *ckpt.Reader) error {
 		return fmt.Errorf("cache %s%s: checkpoint geometry %dx%d, cache is %dx%d",
 			c.prefix, c.cfg.Name, sets, ways, c.cfg.Sets, c.cfg.Ways)
 	}
-	for _, set := range c.sets {
-		for i := range set {
-			ln := &set[i]
-			ln.valid = r.Bool()
-			ln.dirty = r.Bool()
-			ln.tag = r.U64()
-			ln.used = r.U64()
+	for i := range c.lines {
+		valid, dirty, tag := r.Bool(), r.Bool(), r.U64()
+		if tag > tagMask {
+			return fmt.Errorf("cache %s%s: checkpoint tag %#x out of range", c.prefix, c.cfg.Name, tag)
 		}
+		ln := &c.lines[i]
+		ln.bits = tag
+		if valid {
+			ln.bits |= lineValid
+		}
+		if dirty {
+			ln.bits |= lineDirty
+		}
+		ln.used = r.U64()
 	}
 	c.stamp = r.U64()
 	c.lastMiss = memspace.PAddr(r.U64())

@@ -49,7 +49,7 @@ func (c *Cache) Touch(addr memspace.PAddr, kind Kind) {
 		c.stamp++
 		ln.used = c.stamp
 		if kind == Store {
-			ln.dirty = true
+			ln.bits |= lineDirty
 		}
 		return
 	}
@@ -74,9 +74,10 @@ func (c *Cache) Touch(addr memspace.PAddr, kind Kind) {
 func (c *Cache) installTouch(la memspace.PAddr, dirty bool) {
 	set, tag := c.indexTag(la)
 	var v *line
-	for i := range c.sets[set] {
-		ln := &c.sets[set][i]
-		if !ln.valid {
+	ways := c.set(set)
+	for i := range ways {
+		ln := &ways[i]
+		if !ln.valid() {
 			v = ln
 			break
 		}
@@ -84,13 +85,13 @@ func (c *Cache) installTouch(la memspace.PAddr, dirty bool) {
 			v = ln
 		}
 	}
-	if v.valid && v.dirty {
+	if v.valid() && v.dirty() {
 		c.cWritebacks.Inc()
-		wbAddr := memspace.PAddr((v.tag*uint64(c.cfg.Sets) + uint64(set)) << memspace.LineBits)
+		wbAddr := memspace.PAddr((v.tag()*uint64(c.cfg.Sets) + uint64(set)) << memspace.LineBits)
 		TouchLevel(c.below, wbAddr, Store)
 	}
 	c.stamp++
-	*v = line{valid: true, dirty: dirty, tag: tag, used: c.stamp}
+	*v = newLine(tag, dirty, c.stamp)
 }
 
 // touchTrain is trainPrefetcher without the event delay: a matched

@@ -192,7 +192,9 @@ func New(eng *sim.Engine, cfg Config, space *memspace.Space, mem *dram.System, l
 	a.tileUse = make([]int, nt)
 	a.tileWriter = make([]*inflight, nt)
 	spdBytes := uint64(cfg.Machine.Tiles) * uint64(cfg.Machine.TileElems) * 8
-	a.spdRegion = space.Alloc(prefix+"spd", spdBytes)
+	// The window is only addressed (cores load tile elements through it
+	// for timing; the data lives in the tiles), so it needs no backing.
+	a.spdRegion = space.Reserve(prefix+"spd", spdBytes)
 	a.spdPABase = space.Translate(a.spdRegion.Base)
 	a.cInstrs = stats.Counter(prefix + "instructions")
 	a.cSnoops = stats.Counter(prefix + "snoops")

@@ -32,8 +32,8 @@ func (a *Accel) CheckpointSave(w *ckpt.Writer) error {
 	for i := range m.tiles {
 		t := &m.tiles[i]
 		w.Int(t.size)
-		for _, b := range t.bits {
-			w.U64(b)
+		for j := 0; j < t.cap; j++ {
+			w.U64(t.Raw(j))
 		}
 	}
 	w.Int(m.Executed)
@@ -75,8 +75,15 @@ func (a *Accel) CheckpointLoad(r *ckpt.Reader) error {
 	for i := range m.tiles {
 		t := &m.tiles[i]
 		t.size = r.Int()
-		for j := range t.bits {
-			t.bits[j] = r.U64()
+		if t.size > 0 {
+			t.write()
+		}
+		// An unwritten tile stays unallocated until the image holds a
+		// nonzero word for it.
+		for j := 0; j < t.cap; j++ {
+			if v := r.U64(); v != 0 || t.bits != nil {
+				t.write()[j] = v
+			}
 		}
 	}
 	m.Executed = r.Int()

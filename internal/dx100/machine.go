@@ -28,6 +28,9 @@ type Machine struct {
 	sp    *memspace.Space
 	tiles []Tile
 	regs  []uint64
+	// zeros backs reads of unwritten tiles (see read); allocated the
+	// first time one is read, and never written.
+	zeros []uint64
 
 	// Executed counts instructions executed (for tests/stats).
 	Executed int
@@ -38,9 +41,21 @@ func NewMachine(sp *memspace.Space, cfg MachineConfig) *Machine {
 	m := &Machine{cfg: cfg, sp: sp, regs: make([]uint64, cfg.Regs)}
 	m.tiles = make([]Tile, cfg.Tiles)
 	for i := range m.tiles {
-		m.tiles[i] = Tile{bits: make([]uint64, cfg.TileElems)}
+		m.tiles[i] = Tile{cap: cfg.TileElems}
 	}
 	return m
+}
+
+// read returns t's slots for an instruction's source operand; an
+// unwritten tile reads as zeros.
+func (m *Machine) read(t *Tile) []uint64 {
+	if t.bits != nil {
+		return t.bits
+	}
+	if m.zeros == nil {
+		m.zeros = make([]uint64, m.cfg.TileElems)
+	}
+	return m.zeros
 }
 
 // Config returns the machine configuration.
@@ -69,7 +84,7 @@ func (m *Machine) cond(in Instr, i int) bool {
 	if in.TC == NoTile {
 		return true
 	}
-	return m.tiles[in.TC].bits[i] != 0
+	return m.read(&m.tiles[in.TC])[i] != 0
 }
 
 // Exec executes one instruction functionally. It returns an error for
@@ -91,12 +106,13 @@ func (m *Machine) Exec(in Instr) error {
 		if count > td.Cap() {
 			return fmt.Errorf("dx100: SLD count %d exceeds tile capacity %d", count, td.Cap())
 		}
+		dst := td.write()
 		for i := 0; i < count; i++ {
 			if !m.cond(in, i) {
 				continue
 			}
 			va := in.Base + memspace.VAddr((start+int64(i)*stride)*int64(esz))
-			td.bits[i] = m.sp.ReadWord(va, esz)
+			dst[i] = m.sp.ReadWord(va, esz)
 		}
 		td.SetSize(count)
 	case SST:
@@ -108,44 +124,46 @@ func (m *Machine) Exec(in Instr) error {
 		if count > ts.Size() {
 			return fmt.Errorf("dx100: SST count %d exceeds source size %d", count, ts.Size())
 		}
+		src := m.read(ts)
 		for i := 0; i < count; i++ {
 			if !m.cond(in, i) {
 				continue
 			}
 			va := in.Base + memspace.VAddr((start+int64(i)*stride)*int64(esz))
-			m.sp.WriteWord(va, esz, ts.bits[i])
+			m.sp.WriteWord(va, esz, src[i])
 		}
 	case ILD:
 		ts, td := &m.tiles[in.TS1], &m.tiles[in.TD]
 		n := ts.Size()
+		idx, dst := m.read(ts), td.write()
 		for i := 0; i < n; i++ {
 			if !m.cond(in, i) {
 				continue
 			}
-			va := in.Base + memspace.VAddr(int64(ts.bits[i])*int64(esz))
-			td.bits[i] = m.sp.ReadWord(va, esz)
+			va := in.Base + memspace.VAddr(int64(idx[i])*int64(esz))
+			dst[i] = m.sp.ReadWord(va, esz)
 		}
 		td.SetSize(n)
 	case IST:
-		idx, src := &m.tiles[in.TS1], &m.tiles[in.TS2]
-		n := idx.Size()
+		n := m.tiles[in.TS1].Size()
+		idx, src := m.read(&m.tiles[in.TS1]), m.read(&m.tiles[in.TS2])
 		for i := 0; i < n; i++ {
 			if !m.cond(in, i) {
 				continue
 			}
-			va := in.Base + memspace.VAddr(int64(idx.bits[i])*int64(esz))
-			m.sp.WriteWord(va, esz, src.bits[i])
+			va := in.Base + memspace.VAddr(int64(idx[i])*int64(esz))
+			m.sp.WriteWord(va, esz, src[i])
 		}
 	case IRMW:
-		idx, src := &m.tiles[in.TS1], &m.tiles[in.TS2]
-		n := idx.Size()
+		n := m.tiles[in.TS1].Size()
+		idx, src := m.read(&m.tiles[in.TS1]), m.read(&m.tiles[in.TS2])
 		for i := 0; i < n; i++ {
 			if !m.cond(in, i) {
 				continue
 			}
-			va := in.Base + memspace.VAddr(int64(idx.bits[i])*int64(esz))
+			va := in.Base + memspace.VAddr(int64(idx[i])*int64(esz))
 			old := m.sp.ReadWord(va, esz)
-			m.sp.WriteWord(va, esz, aluEval(in.ALU, in.DType, old, src.bits[i]))
+			m.sp.WriteWord(va, esz, aluEval(in.ALU, in.DType, old, src[i]))
 		}
 	case ALUV:
 		a, b, td := &m.tiles[in.TS1], &m.tiles[in.TS2], &m.tiles[in.TD]
@@ -153,22 +171,24 @@ func (m *Machine) Exec(in Instr) error {
 		if b.Size() < n {
 			return fmt.Errorf("dx100: ALUV source sizes differ (%d vs %d)", n, b.Size())
 		}
+		x, y, dst := m.read(a), m.read(b), td.write()
 		for i := 0; i < n; i++ {
 			if !m.cond(in, i) {
 				continue
 			}
-			td.bits[i] = aluEval(in.ALU, in.DType, a.bits[i], b.bits[i])
+			dst[i] = aluEval(in.ALU, in.DType, x[i], y[i])
 		}
 		td.SetSize(n)
 	case ALUS:
 		a, td := &m.tiles[in.TS1], &m.tiles[in.TD]
 		s := m.regs[in.RS1]
 		n := a.Size()
+		x, dst := m.read(a), td.write()
 		for i := 0; i < n; i++ {
 			if !m.cond(in, i) {
 				continue
 			}
-			td.bits[i] = aluEval(in.ALU, in.DType, a.bits[i], s)
+			dst[i] = aluEval(in.ALU, in.DType, x[i], s)
 		}
 		td.SetSize(n)
 	case RNG:
@@ -183,16 +203,18 @@ func (m *Machine) Exec(in Instr) error {
 			return fmt.Errorf("dx100: RNG bound sizes differ (%d vs %d)", n, hi.Size())
 		}
 		out := 0
+		los, his := m.read(lo), m.read(hi)
+		outs, ins := outer.write(), inner.write()
 		for i := 0; i < n; i++ {
 			if !m.cond(in, i) {
 				continue
 			}
-			for j := int64(lo.bits[i]); j < int64(hi.bits[i]); j += stride {
+			for j := int64(los[i]); j < int64(his[i]); j += stride {
 				if out >= outer.Cap() {
 					return fmt.Errorf("dx100: RNG output overflows tile capacity %d", outer.Cap())
 				}
-				outer.bits[out] = uint64(i)
-				inner.bits[out] = uint64(j)
+				outs[out] = uint64(i)
+				ins[out] = uint64(j)
 				out++
 			}
 		}

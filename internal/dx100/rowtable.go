@@ -96,12 +96,15 @@ func NewRowTable(p dram.Params, cfg RowTableConfig, tileCap int) *RowTable {
 		slices: make([]slice, n),
 		words:  make([]wordEntry, tileCap),
 	}
+	// Every slice's rows, and every row's columns, are windows into two
+	// flat arrays: two allocations instead of one per BCAM row.
+	rows := make([]rowEntry, n*cfg.Rows)
+	cols := make([]colEntry, n*cfg.Rows*cfg.Cols)
+	for r := range rows {
+		rows[r].cols = cols[r*cfg.Cols : (r+1)*cfg.Cols : (r+1)*cfg.Cols]
+	}
 	for i := range rt.slices {
-		rows := make([]rowEntry, cfg.Rows)
-		for r := range rows {
-			rows[r].cols = make([]colEntry, cfg.Cols)
-		}
-		rt.slices[i] = slice{rows: rows, curRow: -1}
+		rt.slices[i] = slice{rows: rows[i*cfg.Rows : (i+1)*cfg.Rows : (i+1)*cfg.Rows], curRow: -1}
 	}
 	// Predetermined arbitration order (§3.2): consecutive requests
 	// alternate channel first, then bank group, then bank — maximizing

@@ -268,3 +268,27 @@ func TestRowTableRandomizedConservation(t *testing.T) {
 		t.Fatalf("outstanding = %d", rt.Outstanding())
 	}
 }
+
+// TestRowTableFlatStorage pins the table's allocation shape: rows and
+// columns live in two flat arrays, so building a Table 3 table costs a
+// handful of allocations rather than one per BCAM row, and each row
+// still owns exactly its Cols column slots.
+func TestRowTableFlatStorage(t *testing.T) {
+	p := dram.DDR4_3200()
+	cfg := DefaultRowTableConfig()
+	allocs := testing.AllocsPerRun(5, func() { NewRowTable(p, cfg, 16384) })
+	if allocs > 32 {
+		t.Fatalf("NewRowTable makes %v allocations, want a handful (%d slices x %d rows)", allocs, p.TotalBanks(), cfg.Rows)
+	}
+	rt, _ := newRT()
+	for _, s := range rt.slices {
+		if len(s.rows) != cfg.Rows || cap(s.rows) != cfg.Rows {
+			t.Fatalf("slice rows len %d cap %d, want %d", len(s.rows), cap(s.rows), cfg.Rows)
+		}
+		for _, re := range s.rows {
+			if len(re.cols) != cfg.Cols || cap(re.cols) != cfg.Cols {
+				t.Fatalf("row cols len %d cap %d, want %d", len(re.cols), cap(re.cols), cfg.Cols)
+			}
+		}
+	}
+}

@@ -8,9 +8,13 @@ import (
 // Tile is one scratchpad tile: raw 64-bit element slots plus a logical
 // size. Elements are stored as raw bit patterns and interpreted
 // according to each instruction's DType, matching the hardware's
-// untyped SRAM.
+// untyped SRAM. The slots are allocated on the tile's first write (an
+// instruction destination, SetRaw, SetSize or a checkpoint load); an
+// unwritten tile reads as zeros, as a freshly reset SRAM does, so a
+// run pays only for the tiles its program touches.
 type Tile struct {
-	bits []uint64
+	bits []uint64 // nil until the first write, then capacity long
+	cap  int
 	size int
 }
 
@@ -20,20 +24,38 @@ func (t *Tile) Size() int { return t.size }
 // SetSize sets the logical element count (§3.5: the scratchpad keeps a
 // size per tile).
 func (t *Tile) SetSize(n int) {
-	if n > len(t.bits) {
-		panic(fmt.Sprintf("dx100: tile size %d exceeds capacity %d", n, len(t.bits)))
+	if n > t.cap {
+		panic(fmt.Sprintf("dx100: tile size %d exceeds capacity %d", n, t.cap))
 	}
+	t.write()
 	t.size = n
 }
 
 // Cap returns the tile element capacity (TILE).
-func (t *Tile) Cap() int { return len(t.bits) }
+func (t *Tile) Cap() int { return t.cap }
 
 // Raw returns the raw bits of element i.
-func (t *Tile) Raw(i int) uint64 { return t.bits[i] }
+func (t *Tile) Raw(i int) uint64 {
+	if t.bits == nil {
+		if uint(i) >= uint(t.cap) {
+			panic(fmt.Sprintf("dx100: tile element %d out of range [0,%d)", i, t.cap))
+		}
+		return 0
+	}
+	return t.bits[i]
+}
 
 // SetRaw stores raw bits into element i.
-func (t *Tile) SetRaw(i int, v uint64) { t.bits[i] = v }
+func (t *Tile) SetRaw(i int, v uint64) { t.write()[i] = v }
+
+// write returns the tile's slots for writing, allocating them on
+// first use.
+func (t *Tile) write() []uint64 {
+	if t.bits == nil {
+		t.bits = make([]uint64, t.cap)
+	}
+	return t.bits
+}
 
 // bitsOf converts a typed value into the tile's raw representation.
 func bitsOf(d DType, v float64) uint64 {

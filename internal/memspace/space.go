@@ -48,7 +48,16 @@ func (r Region) End() VAddr { return r.Base + VAddr(r.Size) }
 
 type alloc struct {
 	region Region
-	data   []byte
+	data   []byte // nil until the first write; unwritten bytes read as 0
+}
+
+// bytes returns the allocation's backing bytes for writing, allocating
+// them on first use (see Reserve).
+func (a *alloc) bytes() []byte {
+	if a.data == nil {
+		a.data = make([]byte, a.region.Size)
+	}
+	return a.data
 }
 
 // Space is a simulated address space. The zero value is not usable;
@@ -72,9 +81,20 @@ func New() *Space {
 }
 
 // Alloc reserves size bytes under the given name, mapping every huge
-// page it spans to a fresh physical frame. The returned region is
-// huge-page aligned.
+// page it spans to a fresh physical frame, and backs them with zeroed
+// bytes. The returned region is huge-page aligned.
 func (s *Space) Alloc(name string, size uint64) Region {
+	r := s.Reserve(name, size)
+	s.allocs[len(s.allocs)-1].bytes()
+	return r
+}
+
+// Reserve maps address space like Alloc but defers the backing bytes
+// to the region's first write; until then it reads as zeros with the
+// same bounds check. It suits windows that are addressed but never
+// written through the space, such as the DX100 scratchpad's
+// memory-mapped region, which then cost no memory.
+func (s *Space) Reserve(name string, size uint64) Region {
 	if size == 0 {
 		size = 1
 	}
@@ -88,12 +108,9 @@ func (s *Space) Alloc(name string, size uint64) Region {
 		s.pageTab[vpn] = pfn
 		s.reversed[pfn] = vpn
 	}
-	a := alloc{
-		region: Region{Name: name, Base: base, Size: size},
-		data:   make([]byte, size),
-	}
-	s.allocs = append(s.allocs, a)
-	return a.region
+	r := Region{Name: name, Base: base, Size: size}
+	s.allocs = append(s.allocs, alloc{region: r})
+	return r
 }
 
 // Translate maps a virtual address to a physical address through the
@@ -130,6 +147,12 @@ func (s *Space) findAlloc(va VAddr) *alloc {
 func (s *Space) ReadWord(va VAddr, size int) uint64 {
 	a := s.findAlloc(va)
 	off := uint64(va - a.region.Base)
+	if a.data == nil && (size == 4 || size == 8) {
+		if off+uint64(size) > a.region.Size {
+			panic(fmt.Sprintf("memspace: %d-byte read at %#x runs past %s", size, uint64(va), a.region.Name))
+		}
+		return 0
+	}
 	switch size {
 	case 4:
 		return uint64(binary.LittleEndian.Uint32(a.data[off:]))
@@ -146,9 +169,37 @@ func (s *Space) WriteWord(va VAddr, size int, v uint64) {
 	off := uint64(va - a.region.Base)
 	switch size {
 	case 4:
-		binary.LittleEndian.PutUint32(a.data[off:], uint32(v))
+		binary.LittleEndian.PutUint32(a.bytes()[off:], uint32(v))
 	case 8:
-		binary.LittleEndian.PutUint64(a.data[off:], v)
+		binary.LittleEndian.PutUint64(a.bytes()[off:], v)
+	default:
+		panic(fmt.Sprintf("memspace: unsupported word size %d", size))
+	}
+}
+
+// WriteWords writes vals as consecutive size-byte little-endian words
+// (size 4 or 8) starting at va. The allocation is resolved once, so
+// filling an array costs one lookup rather than one per word; the whole
+// run must lie inside one allocation.
+func (s *Space) WriteWords(va VAddr, size int, vals []uint64) {
+	if len(vals) == 0 {
+		return
+	}
+	a := s.findAlloc(va)
+	off := uint64(va - a.region.Base)
+	if end := off + uint64(len(vals))*uint64(size); end > a.region.Size {
+		panic(fmt.Sprintf("memspace: %d-word write at %#x runs past %s", len(vals), uint64(va), a.region.Name))
+	}
+	data := a.bytes()[off:]
+	switch size {
+	case 4:
+		for i, v := range vals {
+			binary.LittleEndian.PutUint32(data[4*i:], uint32(v))
+		}
+	case 8:
+		for i, v := range vals {
+			binary.LittleEndian.PutUint64(data[8*i:], v)
+		}
 	default:
 		panic(fmt.Sprintf("memspace: unsupported word size %d", size))
 	}

@@ -200,3 +200,67 @@ func TestTranslateProperty(t *testing.T) {
 		t.Fatal(err)
 	}
 }
+
+// TestReserveBacksOnFirstWrite pins lazy backing: a reserved region
+// holds no bytes until its first write, reads as zeros before it, and
+// keeps the bounds check of an allocated one. Alloc backs eagerly.
+func TestReserveBacksOnFirstWrite(t *testing.T) {
+	sp := New()
+	r := sp.Reserve("spd", 4<<20)
+	if v := sp.ReadWord(r.Base+64, 8); v != 0 {
+		t.Fatalf("unwritten word = %d, want 0", v)
+	}
+	if sp.allocs[0].data != nil {
+		t.Fatal("a read allocated the backing bytes")
+	}
+	func() {
+		defer func() {
+			if recover() == nil {
+				t.Fatal("8-byte read straddling the region end did not panic")
+			}
+		}()
+		sp.ReadWord(r.End()-4, 8)
+	}()
+	sp.WriteWord(r.Base+8, 4, 0xdeadbeef)
+	if got := sp.ReadWord(r.Base+8, 4); got != 0xdeadbeef {
+		t.Fatalf("after write: %#x", got)
+	}
+	if len(sp.allocs[0].data) != 4<<20 {
+		t.Fatalf("backing is %d bytes, want the region size", len(sp.allocs[0].data))
+	}
+	sp.Alloc("a", 64)
+	if len(sp.allocs[1].data) != 64 {
+		t.Fatal("Alloc did not back its region")
+	}
+	if sp.Translate(r.Base) == sp.Translate(sp.Regions()[1].Base) {
+		t.Fatal("reserved and allocated regions share a frame")
+	}
+}
+
+// TestWriteWordsMatchesWriteWord: a bulk fill writes the same bytes as
+// word-by-word writes, and refuses a run past its allocation.
+func TestWriteWordsMatchesWriteWord(t *testing.T) {
+	vals := []uint64{1, 1 << 40, 0xffffffff, 7, 1<<63 | 5}
+	for _, size := range []int{4, 8} {
+		bulk, single := New(), New()
+		rb := bulk.Alloc("a", uint64(len(vals)*size))
+		rs := single.Alloc("a", uint64(len(vals)*size))
+		bulk.WriteWords(rb.Base, size, vals)
+		for i, v := range vals {
+			single.WriteWord(rs.Base+VAddr(i*size), size, v)
+		}
+		for i := range vals {
+			if a, b := bulk.ReadWord(rb.Base+VAddr(i*size), size), single.ReadWord(rs.Base+VAddr(i*size), size); a != b {
+				t.Fatalf("size %d word %d: bulk %#x, single %#x", size, i, a, b)
+			}
+		}
+		func() {
+			defer func() {
+				if recover() == nil {
+					t.Fatalf("size %d: WriteWords past the region end did not panic", size)
+				}
+			}()
+			bulk.WriteWords(rb.Base+VAddr(size), size, vals)
+		}()
+	}
+}

@@ -3,6 +3,7 @@ package span
 import (
 	"bytes"
 	"encoding/json"
+	"runtime"
 	"strings"
 	"testing"
 	"time"
@@ -312,5 +313,29 @@ func TestSpanJSONLEncoding(t *testing.T) {
 	}
 	if strings.Contains(lines[1], "parent_span_id") {
 		t.Error("root JSONL line has a parent_span_id")
+	}
+}
+
+// TestRecorderFootprint pins what a per-job recorder costs: recording
+// a handful of spans must allocate kilobytes, not the ring ceiling
+// (obs.DefaultSinkCap events, about 5 MB).
+func TestRecorderFootprint(t *testing.T) {
+	const reps = 20
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	for i := 0; i < reps; i++ {
+		rec := NewRecorder(0)
+		root := rec.StartAsync("job.run", Context{})
+		for _, name := range []string{"queue", "phase.build", "phase.sim", "phase.encode", "run"} {
+			rec.Start(name, root.Context()).End()
+		}
+		root.End()
+		if n := len(rec.Events()); n != 7 {
+			t.Fatalf("recorded %d events, want 7", n)
+		}
+	}
+	runtime.ReadMemStats(&after)
+	if per := (after.TotalAlloc - before.TotalAlloc) / reps; per >= 64<<10 {
+		t.Fatalf("a recorder with 7 span events allocates %d bytes, want < 64 KiB", per)
 	}
 }

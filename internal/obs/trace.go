@@ -152,18 +152,21 @@ type Event struct {
 	Args  [6]int64
 }
 
-// Sink collects events into a fixed-capacity ring. Without a spill
-// writer the ring keeps the most recent Cap events (older ones are
-// overwritten and counted as dropped). With a spill writer the ring
-// becomes a batch buffer: it is encoded and flushed whenever full, so
-// nothing is lost. A nil *Sink is the disabled state: Emit on a nil
-// receiver returns immediately, which is what makes tracing zero-cost
-// when off.
+// Sink collects events into a ring with a fixed ceiling. Without a
+// spill writer the ring keeps the most recent ceiling-many events
+// (older ones are overwritten and counted as dropped). With a spill
+// writer the ring becomes a batch buffer: it is encoded and flushed
+// whenever it reaches the ceiling, so nothing is lost. The backing
+// array starts small and doubles up to the ceiling, so a sink that
+// records a handful of events costs a handful of slots. A nil *Sink is
+// the disabled state: Emit on a nil receiver returns immediately, which
+// is what makes tracing zero-cost when off.
 //
 // A sink is single-goroutine, like the simulation it observes.
 type Sink struct {
 	mask    Mask
 	ring    []Event
+	limit   int // ceiling on len(ring) and cap(ring)
 	start   int // oldest event's slot, ring mode only
 	count   int
 	total   uint64
@@ -177,16 +180,32 @@ type Sink struct {
 	err         error
 }
 
-// DefaultSinkCap is the ring capacity when NewSink is given n <= 0.
+// DefaultSinkCap is the ring ceiling when NewSink is given n <= 0.
 const DefaultSinkCap = 1 << 16
 
-// NewSink returns a sink recording all kinds into a ring of capacity
-// n (DefaultSinkCap when n <= 0).
+// minSinkAlloc is the backing array's first size.
+const minSinkAlloc = 16
+
+// NewSink returns a sink recording all kinds into a ring of at most n
+// events (DefaultSinkCap when n <= 0). No backing array is allocated
+// until the first event arrives.
 func NewSink(n int) *Sink {
 	if n <= 0 {
 		n = DefaultSinkCap
 	}
-	return &Sink{mask: MaskAll, ring: make([]Event, 0, n)}
+	return &Sink{mask: MaskAll, limit: n}
+}
+
+// push appends ev below the ceiling, doubling the backing array (never
+// past the ceiling) when it is full.
+func (s *Sink) push(ev Event) {
+	if len(s.ring) == cap(s.ring) {
+		n := min(max(2*cap(s.ring), minSinkAlloc), s.limit)
+		grown := make([]Event, len(s.ring), n)
+		copy(grown, s.ring)
+		s.ring = grown
+	}
+	s.ring = append(s.ring, ev)
 }
 
 // SetMask restricts the sink to the masked kinds.
@@ -218,14 +237,14 @@ func (s *Sink) Emit(ev Event) {
 	}
 	s.total++
 	if s.spill != nil {
-		if len(s.ring) == cap(s.ring) {
+		if len(s.ring) == s.limit {
 			s.flushRing()
 		}
-		s.ring = append(s.ring, ev)
+		s.push(ev)
 		return
 	}
-	if len(s.ring) < cap(s.ring) {
-		s.ring = append(s.ring, ev)
+	if len(s.ring) < s.limit {
+		s.push(ev)
 		return
 	}
 	// Ring full: overwrite the oldest.

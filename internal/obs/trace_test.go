@@ -201,3 +201,65 @@ func TestEmitZeroAllocs(t *testing.T) {
 		t.Fatalf("Emit allocates %v per op in steady state", allocs)
 	}
 }
+
+// TestRingGrowsUpToCeiling pins the ring's allocation: the backing
+// array starts small, never exceeds the ceiling, and once full the
+// ring keeps the newest ceiling-many events in order.
+func TestRingGrowsUpToCeiling(t *testing.T) {
+	if s := NewSink(0); s.limit != DefaultSinkCap || cap(s.ring) != 0 {
+		t.Fatalf("NewSink(0): ceiling %d, backing %d; want %d, 0", s.limit, cap(s.ring), DefaultSinkCap)
+	}
+	const ceiling = 100 // not a power of two: growth must clamp
+	s := NewSink(ceiling)
+	for i := uint64(1); i <= 1000; i++ {
+		s.Emit(ev(EvCacheFill, i))
+		if c := cap(s.ring); c > ceiling {
+			t.Fatalf("after %d events the backing array holds %d slots, ceiling %d", i, c, ceiling)
+		}
+		if i == 3 && cap(s.ring) > minSinkAlloc {
+			t.Fatalf("3 events grew the backing array to %d slots", cap(s.ring))
+		}
+	}
+	if cap(s.ring) != ceiling {
+		t.Fatalf("full ring holds %d slots, want %d", cap(s.ring), ceiling)
+	}
+	if s.Dropped() != 900 || s.Total() != 1000 {
+		t.Fatalf("dropped %d of %d, want 900 of 1000", s.Dropped(), s.Total())
+	}
+	got := s.Events()
+	if len(got) != ceiling {
+		t.Fatalf("kept %d events, want %d", len(got), ceiling)
+	}
+	for i, e := range got {
+		if want := uint64(901 + i); e.Cycle != want {
+			t.Fatalf("event %d at cycle %d, want %d", i, e.Cycle, want)
+		}
+	}
+}
+
+// TestSpillFlushesAtCeiling pins spill mode's flush points: a batch is
+// written exactly when the ring holds ceiling-many events and another
+// arrives, never earlier (the growing backing array must not trigger a
+// flush) and never past the ceiling.
+func TestSpillFlushesAtCeiling(t *testing.T) {
+	const ceiling = 5
+	var buf bytes.Buffer
+	s := NewSink(ceiling)
+	s.SpillJSONL(&buf)
+	for k := 1; k <= 23; k++ {
+		s.Emit(ev(EvCacheFill, uint64(k)))
+		spilled := strings.Count(buf.String(), "\n")
+		if want := (k - 1) / ceiling * ceiling; spilled != want {
+			t.Fatalf("after %d events %d were spilled, want %d", k, spilled, want)
+		}
+		if cap(s.ring) > ceiling {
+			t.Fatalf("spill buffer grew to %d slots, ceiling %d", cap(s.ring), ceiling)
+		}
+	}
+	if err := s.Close(); err != nil {
+		t.Fatal(err)
+	}
+	if n := strings.Count(buf.String(), "\n"); n != 23 || s.Dropped() != 0 {
+		t.Fatalf("spilled %d lines, dropped %d; want 23, 0", n, s.Dropped())
+	}
+}

@@ -482,11 +482,25 @@ type submitResponse struct {
 	TraceID string `json:"trace_id,omitempty"`
 }
 
+// maxBodyBytes bounds a POST /v1/runs body, which is read only up to
+// this size (larger bodies get 413). It fits the largest pattern file
+// Validate accepts — MaxEntries entries, each with a gather and a
+// scatter pattern of MaxPatternLen indices at up to 24 bytes per index
+// (a 20-character int64, its separator and some whitespace) — plus
+// 64 KiB for the rest of the request.
+const maxBodyBytes = pattern.MaxEntries*2*pattern.MaxPatternLen*24 + 64<<10
+
 // --- handlers ----------------------------------------------------------
 
 func (s *Server) handleSubmitRun(w http.ResponseWriter, r *http.Request) {
 	var rr runRequest
+	r.Body = http.MaxBytesReader(w, r.Body, maxBodyBytes)
 	if err := json.NewDecoder(r.Body).Decode(&rr); err != nil {
+		var tooBig *http.MaxBytesError
+		if errors.As(err, &tooBig) {
+			httpError(w, http.StatusRequestEntityTooLarge, fmt.Errorf("request body over %d bytes", tooBig.Limit))
+			return
+		}
 		httpError(w, http.StatusBadRequest, fmt.Errorf("bad request body: %w", err))
 		return
 	}

@@ -168,9 +168,7 @@ func (inst *Instance) setU64(name string, vals []uint64) {
 	if len(vals) > v.n {
 		panic(fmt.Sprintf("workloads: %s overflow", name))
 	}
-	for i, x := range vals {
-		inst.Space.WriteWord(v.base+memspace.VAddr(i*v.esz), v.esz, x)
-	}
+	inst.Space.WriteWords(v.base, v.esz, vals)
 }
 
 // Read returns raw element i of array name.
